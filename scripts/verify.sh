@@ -10,9 +10,11 @@
 # in smoke mode, asserting the event path serves a burst of concurrent
 # connections with zero errors (again without touching the
 # trajectory), then the tier lane: storage tiering + autoscaling
-# (residency crash sweep, flash-crowd absorption acceptance).  Each
-# faults-marked test runs under a hard per-test
-# timeout (pytest-timeout when installed; SIGALRM backstop otherwise).
+# (residency crash sweep, flash-crowd absorption acceptance), then the
+# benchmark's own tests (its tracing shims bind transfer-path names by
+# attribute, so a rename fails here first).  Each faults-marked test
+# runs under a hard per-test timeout (pytest-timeout when installed;
+# SIGALRM backstop otherwise).
 # Usage: scripts/verify.sh [extra pytest args]
 set -e
 cd "$(dirname "$0")/.."
@@ -23,6 +25,7 @@ PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q -m faults "$@"
 PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q tests/replica "$@"
 PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q tests/durability "$@"
 PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q tests/tier "$@"
+PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q perfbench/tests "$@"
 PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m repro perf transfer --smoke
 PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m repro perf concurrency --smoke
 python scripts/check_fleet.py

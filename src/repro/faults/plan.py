@@ -341,6 +341,11 @@ class FaultyStream:
         self._fsock._account("read", len(data))
         return data
 
+    def readinto(self, buf) -> int:
+        n = self._fsock._guard_read(lambda: self._raw.readinto(buf)) or 0
+        self._fsock._account("read", n)
+        return n
+
     def readline(self, limit: int = -1) -> bytes:
         data = self._fsock._guard_read(lambda: self._raw.readline(limit))
         self._fsock._account("read", len(data))

@@ -12,8 +12,11 @@ visible *cost of adaptation* in Fig. 5.
 
 The policy here is pure (no threads, no simulated time): harnesses call
 :meth:`AdaptiveSelector.choose` per request and
-:meth:`AdaptiveSelector.report` per completion.  The identical object
-drives the live transfer manager and the simulated server.
+:meth:`AdaptiveSelector.report` per completion.  It drives the
+simulated server's per-request choice (:mod:`repro.simnest`, Fig. 5)
+and, embedded in :class:`ServerModelSwitcher`, the live server's
+threaded-vs-events choice per connection; live transfers pump on
+whichever thread serves the request.
 """
 
 from __future__ import annotations

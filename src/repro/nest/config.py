@@ -36,21 +36,23 @@ class NestConfig:
     #: or "user" (its stated per-user extension).
     share_by: str = "protocol"
 
-    #: Concurrency: "adaptive" (default) or a fixed model
-    #: ("threads", "processes", "events").
+    #: Per-request concurrency model on the *simulated* substrate
+    #: (simnest, Fig. 5, ablations): "adaptive" (default) or a fixed
+    #: model ("threads", "processes", "events", "seda").  The live
+    #: server picks its architecture with ``concurrency_server``.
     concurrency: str = "adaptive"
 
-    #: Concurrency models available to the adaptive selector.
+    #: Concurrency models available to the simulated adaptive selector.
     concurrency_models: Sequence[str] = ("threads", "events")
 
     #: *Server* concurrency architecture -- how accepted connections
-    #: are served (distinct from ``concurrency``, which picks the
-    #: executor for transfer quanta): "threaded" dedicates one handler
-    #: thread per connection (the original design), "events" parks
-    #: idle connections in a selector-driven event loop and serves
-    #: ready requests from a small bounded worker pool, and "adaptive"
-    #: flips between the two per-listener from live MetricsRegistry
-    #: signals (Fig. 5: no single architecture wins at all loads).
+    #: are served (transfers pump on whichever thread serves the
+    #: request): "threaded" dedicates one handler thread per
+    #: connection (the original design), "events" parks idle
+    #: connections in a selector-driven event loop and serves ready
+    #: requests from a small bounded worker pool, and "adaptive" flips
+    #: between the two per-listener from live MetricsRegistry signals
+    #: (Fig. 5: no single architecture wins at all loads).
     concurrency_server: str = "threaded"
 
     #: Worker threads behind the event-driven path (the whole point:
@@ -80,8 +82,9 @@ class NestConfig:
     #: runs the classic single-process appliance.
     shards: int = 0
 
-    #: Worker slots for transfer pumping (threads in a pool / event
-    #: loop fan-out).
+    #: Most transfer quanta pumped at once; further owners wait for a
+    #: scheduler grant (not a pool size: owners pump on their own
+    #: threads).
     transfer_workers: int = 8
 
     #: Bytes moved per proportional-share scheduling quantum.  Small

@@ -410,12 +410,12 @@ class ChirpHandler(ConnectionHandler):
             return True
         write_line(self.wfile, "ok")
         moved = 0
-        transfer = self.server.transfers.submit(
-            self.rfile, ticket.stream, request.length,
-            protocol=self.protocol, user=self.user, path=request.path,
-        )
         try:
-            moved = transfer.wait(60)
+            transfer = self.server.transfers.run(
+                self.rfile, ticket.stream, request.length,
+                protocol=self.protocol, user=self.user, path=request.path,
+            )
+            moved = transfer.moved
         finally:
             ticket.settle(moved)
         self.server.graybox.observe_write(request.path, request.offset, moved)

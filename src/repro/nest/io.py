@@ -25,8 +25,9 @@ never instance ``getattr``: fault-injection wrappers
 (:class:`repro.faults.plan.FaultyStream`) forward unknown attributes
 to the raw stream via ``__getattr__``, and an instance-level probe
 would route I/O around the fault plan.  A wrapped stream therefore
-always takes the honest ``read``/``write`` path, where every injected
-reset, short read, and stall still fires.
+never takes sendfile; it takes the buffered path through its own
+guarded ``readinto``/``write``, where every injected reset, short
+read, and stall still fires.
 
 The module keeps plain-integer counters (the cheapest thing the hot
 path can afford, same convention as the sim kernel counters);

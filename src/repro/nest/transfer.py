@@ -1,21 +1,21 @@
-"""The live transfer manager: asynchronous data movement (paper, §4).
+"""The live transfer manager: scheduled data movement (paper, §4).
 
-The transfer manager owns every on-going transfer: protocol handlers
-``submit()`` storage-manager-approved tickets and block on
-:meth:`Transfer.wait`; a scheduler thread dequeues one *quantum* at a
-time in scheduler order (FCFS / stride / cache-aware -- the same pure
-policy objects the simulated substrate uses) and dispatches the chunk
-to the chosen concurrency executor:
+The transfer manager owns every on-going transfer and puts all of
+them, whatever the protocol, under one scheduler (FCFS / stride /
+cache-aware -- the same pure policy objects the simulated substrate
+uses).  The scheduler is a *grant gate*: whichever thread frees a
+pump slot (``transfer_workers``) or makes a job ready hands each free
+slot to the job the scheduler selects and wakes that job's owner, which
+moves the quantum itself.  A handler calling
+:meth:`TransferManager.transfer_sync` thus pumps its own bytes -- an
+uncontended transfer never leaves its thread -- while contended ones
+interleave quantum by quantum in scheduler order.
+:meth:`TransferManager.submit` runs the same loop on a thread of its own.
 
-* ``threads`` -- a pool of worker threads (chunks of different
-  transfers proceed in parallel, overlapping disk and network);
-* ``events`` -- a single-threaded executor (one chunk at a time,
-  mirroring an event loop's serialization).
-
-The ``processes`` model is available only on the simulated substrate:
-live sockets cannot portably migrate into forked workers inside a test
-suite (see DESIGN.md).  The adaptive selector is fed each transfer's
-goodput, exactly as in :mod:`repro.simnest`.
+The paper's adaptive choice among concurrency models (§4.1, Fig. 5)
+lives in :mod:`repro.nest.concurrency`: live, it picks the *server*
+architecture per connection; the per-request selector is reproduced
+on the simulated substrate (:mod:`repro.simnest`).
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ import threading
 import time
 import zlib
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from typing import Any, BinaryIO, Callable, Optional
 
 from repro.obs import spans as _spans
@@ -33,7 +32,6 @@ from repro.obs.log import get_logger
 logger = get_logger(__name__)
 
 from repro.nest import io as fastio
-from repro.nest.concurrency import EVENTS, THREADS, Selector, make_selector
 from repro.nest.config import NestConfig
 from repro.nest.scheduling import Scheduler, TransferJob, make_job, make_scheduler
 
@@ -42,7 +40,6 @@ from repro.nest.scheduling import Scheduler, TransferJob, make_job, make_schedul
 #: sendfile would desynchronize the fd offset from the buffer).
 SENDFILE = "sendfile"
 POOLED = "pooled"
-LEGACY = "legacy"
 
 
 class TransferError(Exception):
@@ -58,15 +55,16 @@ class Transfer:
         source: BinaryIO,
         sink: BinaryIO,
         total: int,
-        model: str,
         on_done: Optional[Callable[["Transfer"], None]] = None,
         span: Optional["_spans.Span"] = None,
     ):
+        if not fastio.supports_readinto(source):
+            raise TypeError(
+                f"transfer source {type(source).__name__} has no readinto()")
         self.job = job
         self.source = source
         self.sink = sink
         self.total = total
-        self.model = model
         self.on_done = on_done
         self.moved = 0
         self.error: Optional[BaseException] = None
@@ -75,8 +73,8 @@ class Transfer:
         self.callback_error: Optional[BaseException] = None
         self.started_at = time.monotonic()
         #: parent request span, when the submitter is being traced --
-        #: queue-wait and transfer children are attached retroactively
-        #: because pumping crosses worker threads.
+        #: queue-wait and transfer children are attached retroactively,
+        #: once the first grant and the finish times are known.
         self.span = span
         self.submitted_wall = time.time()
         self.dispatched_at: Optional[float] = None
@@ -95,10 +93,9 @@ class Transfer:
 
         ``sendfile`` needs a real descriptor on *both* ends -- checked
         at class level so fault-injection wrappers (which forward
-        ``fileno`` via ``__getattr__``) stay on the honest read/write
-        path.  ``pooled`` needs only a class-level ``readinto`` on the
-        source.  Everything else (wrapped streams, odd file-likes)
-        takes the legacy read/write loop, byte-for-byte as before.
+        ``fileno`` via ``__getattr__``) stay on the honest
+        ``readinto``/``write`` path.  Everything else takes the pooled
+        ``readinto`` loop.
         """
         if (fastio.sendfile_available and self.total > 0
                 and fastio.real_fileno(self.source) is not None
@@ -110,11 +107,9 @@ class Transfer:
                 return SENDFILE
             except (OSError, ValueError):
                 pass
-        if fastio.supports_readinto(self.source):
-            return POOLED
-        return LEGACY
+        return POOLED
 
-    # -- worker side -------------------------------------------------------
+    # -- pump side ---------------------------------------------------------
     def pump_chunk(self, nbytes: int) -> int:
         """Move up to ``nbytes``; returns bytes moved (0 at EOF)."""
         want = nbytes if self.total < 0 else min(nbytes, self.total - self.moved)
@@ -125,9 +120,7 @@ class Transfer:
             if moved is not None:
                 return moved
             # fell through: sendfile refused this pair; demoted.
-        if self.strategy == POOLED:
-            return self._pump_pooled(want)
-        return self._pump_legacy(want)
+        return self._pump_pooled(want)
 
     def _pump_sendfile(self, want: int) -> Optional[int]:
         try:
@@ -135,10 +128,9 @@ class Transfer:
                                    want)
         except OSError:
             # Descriptor pair sendfile cannot serve (or a stalled
-            # socket): demote permanently; the buffered paths resume
+            # socket): demote permanently; the pooled path resumes
             # from the current descriptor offsets.
-            self.strategy = (POOLED if fastio.supports_readinto(self.source)
-                             else LEGACY)
+            self.strategy = POOLED
             return None
         if not sent:
             if self.moved < self.total:
@@ -174,21 +166,6 @@ class Transfer:
             )
         return moved_now
 
-    def _pump_legacy(self, want: int) -> int:
-        data = self.source.read(want)
-        if not data:
-            if self.total >= 0 and self.moved < self.total:
-                raise TransferError(
-                    f"source ended {self.total - self.moved} bytes early"
-                )
-            return 0
-        if self.crc is not None:
-            self.crc = zlib.crc32(data, self.crc)
-        self.sink.write(data)
-        self.moved += len(data)
-        fastio.COUNTERS.count_fallback(len(data), self.crc is not None)
-        return len(data)
-
     def _release_buffer(self) -> None:
         if self._view is not None:
             self._view.release()
@@ -196,14 +173,6 @@ class Transfer:
         if self._buffer is not None:
             fastio.DEFAULT_POOL.release(self._buffer)
             self._buffer = None
-
-    @property
-    def done(self) -> bool:
-        if self.error is not None:
-            return True
-        if self.total >= 0:
-            return self.moved >= self.total
-        return self._finished.is_set()
 
     # -- waiter side -------------------------------------------------------
     def wait(self, timeout: float | None = 30.0) -> int:
@@ -231,7 +200,7 @@ class Transfer:
                 raise
             except Exception as exc:
                 # A broken completion callback must not kill the
-                # scheduler worker, but it must not vanish either: the
+                # pumping thread, but it must not vanish either: the
                 # waiter can inspect it, and it goes to the log.
                 self.callback_error = exc
                 logger.warning(
@@ -246,7 +215,7 @@ class Transfer:
 
 
 class TransferManager:
-    """Schedules and executes transfers under one NestConfig."""
+    """Schedules transfers under one NestConfig; owners pump them."""
 
     def __init__(self, config: NestConfig, residency=None, obs=None):
         config.validate()
@@ -272,7 +241,7 @@ class TransferManager:
                 "Transfer duration, submit to completion.", ("protocol",))
             self._m_queue_wait = reg.histogram(
                 "nest_queue_wait_seconds",
-                "Time from submit to first scheduler dispatch.",
+                "Time from submit to first scheduler grant.",
                 ("protocol",))
             reg.gauge_callback("nest_transfer_queue_depth", self.queue_depth,
                                "Transfers waiting for a scheduler grant.")
@@ -289,24 +258,13 @@ class TransferManager:
             work_conserving=config.work_conserving,
             share_by=config.share_by,
         )
-        models = [m for m in config.concurrency_models if m != "processes"]
-        if not models:
-            models = [THREADS]
-        self.selector: Selector = make_selector(
-            config.concurrency if config.concurrency != "processes" else THREADS,
-            models=models,
-        )
-        self._threads_pool = ThreadPoolExecutor(
-            max_workers=max(2, config.transfer_workers),
-            thread_name_prefix="nest-xfer",
-        )
-        #: single-threaded: the live analogue of an event loop.
-        self._events_pool = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="nest-events"
-        )
         self._lock = threading.Lock()
-        self._wakeup = threading.Condition(self._lock)
         self._pending: dict[int, Transfer] = {}
+        #: one Condition (on ``_lock``) per pending job: a grant wakes
+        #: only the owner it was made to, never every waiting owner.
+        self._turns: dict[int, threading.Condition] = {}
+        #: end of the current non-work-conserving idle, if one is on.
+        self._idle_until: float | None = None
         #: ring of recent per-transfer failure causes (newest last);
         #: each entry is timestamped ("at", epoch seconds) and the
         #: bound is the administrator's ``config.failure_history``.
@@ -315,15 +273,46 @@ class TransferManager:
         self._in_flight = 0
         self._enqueue_seq = 0
         self._running = True
-        self._dispatcher = threading.Thread(
-            target=self._dispatch_loop, name="nest-xfer-sched", daemon=True
-        )
-        self._dispatcher.start()
 
     # ------------------------------------------------------------------
     # submission
     # ------------------------------------------------------------------
-    def submit(
+    def run(self, *args, timeout: float | None = 60.0, **kwargs) -> Transfer:
+        """Move a transfer to completion on the calling thread, one
+        granted quantum at a time (the arguments are :meth:`submit`'s).
+
+        Returns the finished :class:`Transfer` (its ``crc`` and
+        ``moved``); raises its error, or :exc:`TransferError` when a
+        grant does not come within ``timeout`` seconds.
+        """
+        transfer = self._admit(*args, **kwargs)
+        self._pump(transfer, timeout)
+        if transfer.error is not None:
+            raise transfer.error
+        return transfer
+
+    def transfer_sync(self, *args, **kwargs) -> int:
+        """:meth:`run` for handlers; returns bytes moved."""
+        return self.run(*args, **kwargs).moved
+
+    def submit(self, *args, **kwargs) -> Transfer:
+        """Start a transfer on its own thread; returns immediately.
+
+        Arguments: ``source``, ``sink``, ``total`` (bytes; -1 reads to
+        EOF), ``protocol``, and optionally ``user``, ``path``,
+        ``on_done`` (called with the finished transfer) and ``span``
+        (parent of the retroactive queue-wait and transfer child spans;
+        defaults to the caller's active span).  The thread runs the
+        same grant-and-pump loop as :meth:`run`; collect the outcome
+        with :meth:`Transfer.wait`.
+        """
+        transfer = self._admit(*args, **kwargs)
+        threading.Thread(target=self._pump, args=(transfer, None),
+                         name=f"nest-transfer-{transfer.job.job_id}",
+                         daemon=True).start()
+        return transfer
+
+    def _admit(
         self,
         source: BinaryIO,
         sink: BinaryIO,
@@ -334,15 +323,9 @@ class TransferManager:
         on_done: Optional[Callable[[Transfer], None]] = None,
         span: Optional["_spans.Span"] = None,
     ) -> Transfer:
-        """Queue a transfer; returns immediately (asynchronous).
-
-        ``span`` (or, failing that, the submitting thread's active
-        span) becomes the parent of the retroactive queue-wait and
-        transfer child spans.
-        """
-        model = self.selector.choose()
+        """Queue a new transfer, ready for its first grant."""
         job = make_job(protocol, user=user, path=path, total_bytes=total)
-        transfer = Transfer(job, source, sink, total, model, on_done=on_done,
+        transfer = Transfer(job, source, sink, total, on_done=on_done,
                             span=span or _spans.current_span())
         with self._lock:
             self.scheduler.add(job)
@@ -351,12 +334,9 @@ class TransferManager:
             job.ready = True
             job.available = total if total >= 0 else 1 << 62
             self._pending[job.job_id] = transfer
-            self._wakeup.notify()
+            self._turns[job.job_id] = threading.Condition(self._lock)
+            self._grant_locked()
         return transfer
-
-    def transfer_sync(self, *args, timeout: float | None = 60.0, **kwargs) -> int:
-        """Submit and wait; returns bytes moved (handler convenience)."""
-        return self.submit(*args, **kwargs).wait(timeout)
 
     def failures(self) -> list[dict[str, Any]]:
         """Recent transfer failures, oldest first.
@@ -378,105 +358,143 @@ class TransferManager:
             return sum(1 for t in self._pending.values() if t.job.ready)
 
     def in_flight(self) -> int:
-        """Transfer quanta currently executing on a worker."""
+        """Transfer quanta currently being pumped."""
         with self._lock:
             return self._in_flight
 
     def shutdown(self) -> None:
-        """Stop the scheduler thread and fail whatever it abandons.
+        """Fail every transfer the manager still holds.
 
-        Every pending transfer is finished with a typed
-        ``TransferError("manager shut down")`` so waiters unblock
-        immediately instead of sitting out their full ``wait()``
-        timeout, and pooled buffers go back to ``DEFAULT_POOL``.
-        Queued transfers (never dispatched) are failed here; quanta
-        already on a worker notice ``_running`` is down when they
-        return and fail their transfer the same way instead of
-        re-enqueueing it.
+        Each one finishes with a typed ``TransferError("manager shut
+        down")`` and returns its pooled buffer to ``DEFAULT_POOL``:
+        owners waiting for a grant wake and fail at once, instead of
+        sitting out their timeout; an owner whose quantum is in flight
+        fails the same way when that quantum returns, instead of asking
+        for another grant.
         """
         with self._lock:
             self._running = False
-            self._wakeup.notify_all()
-        self._dispatcher.join(timeout=5)
-        error = TransferError("manager shut down")
+            for turn in self._turns.values():
+                turn.notify_all()
+
+    # ------------------------------------------------------------------
+    # the grant gate
+    # ------------------------------------------------------------------
+    def _pump(self, transfer: Transfer, timeout: float | None) -> None:
+        """Drive ``transfer`` to completion on the calling thread, one
+        granted quantum at a time."""
+        job = transfer.job
+        error: BaseException | None = None
+        while True:
+            try:
+                grant = self._await_grant(job, timeout)
+            except TransferError as exc:
+                error = exc
+                break
+            if transfer.dispatched_at is None:
+                self._observe_first_grant(transfer)
+            moved = 0
+            try:
+                moved = transfer.pump_chunk(grant)
+            except BaseException as exc:  # noqa: BLE001 - reported to waiter
+                error = exc
+            if self.obs is not None and moved:
+                self._m_bytes.inc(moved, protocol=job.protocol)
+                self.obs.health.record_bytes(moved)
+            # EOF (a quantum that moved nothing) counts as done.
+            finished = (error is not None or not moved
+                        or 0 <= transfer.total <= transfer.moved)
+            with self._lock:
+                self._in_flight -= 1
+                self.scheduler.charge(job, moved)
+                if not finished:
+                    # Back in the queue and the freed slot re-granted in
+                    # the same critical section, so a pending job is
+                    # always either ready (queued) or granted.
+                    self._enqueue_seq += 1
+                    job.enqueue_seq = self._enqueue_seq
+                    job.ready = True
+                    self._grant_locked()
+            if finished:
+                break
         with self._lock:
-            # ready=True means "awaiting a scheduler grant": with the
-            # dispatcher dead these would never run.  ready=False means
-            # a quantum is in flight; _run_quantum owns that finish.
-            doomed = [t for t in self._pending.values() if t.job.ready]
-            for transfer in doomed:
-                self.scheduler.remove(transfer.job)
-                self._pending.pop(transfer.job.job_id, None)
+            self.scheduler.remove(job)
+            self._pending.pop(job.job_id, None)
+            self._turns.pop(job.job_id, None)
+            if error is not None:
                 self._failures.append({
-                    "protocol": transfer.job.protocol,
-                    "user": transfer.job.user,
-                    "path": transfer.job.path,
+                    "protocol": job.protocol,
+                    "user": job.user,
+                    "path": job.path,
                     "moved": transfer.moved,
                     "total": transfer.total,
                     "error": error,
                     "at": time.time(),
                 })
-        for transfer in doomed:
-            self._observe_finish(transfer, error)
-            transfer._finish(error)
-        self._threads_pool.shutdown(wait=False)
-        self._events_pool.shutdown(wait=False)
+            self._grant_locked()
+        self._observe_finish(transfer, error)
+        transfer._finish(error)
 
-    # ------------------------------------------------------------------
-    # scheduling loop
-    # ------------------------------------------------------------------
-    def _dispatch_loop(self) -> None:
-        while True:
-            with self._lock:
-                while self._running and not self._dispatchable_locked():
-                    self._wakeup.wait(timeout=0.2)
+    def _await_grant(self, job: TransferJob, timeout: float | None) -> int:
+        """Block until ``job`` is granted its next quantum; returns the
+        grant in bytes.  Raises :exc:`TransferError` if the manager
+        shuts down or ``timeout`` seconds pass first."""
+        deadline = None if timeout is None else time.monotonic() + timeout
+        turn = self._turns[job.job_id]
+        with self._lock:
+            while job.ready:  # a grant takes the job out of the queue
                 if not self._running:
-                    return
-                job = self.scheduler.select()
-                if job is None or job.job_id not in self._pending:
-                    # Non-work-conserving idling: wait briefly, then
-                    # grant the best ready job anyway.
-                    self._wakeup.wait(timeout=0.002)
-                    job = self._best_ready_locked()
-                    if job is None:
+                    job.ready = False
+                    raise TransferError("manager shut down")
+                now = time.monotonic()
+                wait: float | None = None
+                if (self._idle_until is not None
+                        and self._in_flight < self.config.transfer_workers):
+                    # An idle is on with a slot free: whoever wakes
+                    # first when it ends makes the grant.
+                    if now >= self._idle_until:
+                        self._grant_locked()
                         continue
-                transfer = self._pending[job.job_id]
-                job.ready = False
-                self._in_flight += 1
-                # Solo transfers get burst-sized grants: nothing else
-                # is ready or in flight, so a big quantum costs no
-                # fairness and saves hundreds of arbitration passes.
-                # Any contention at all keeps the configured quantum.
-                if (self._in_flight == 1
-                        and not any(t.job.ready
-                                    for t in self._pending.values())):
-                    grant = self.config.burst_bytes
-                else:
-                    grant = self.config.quantum_bytes
-            if transfer.dispatched_at is None:
-                # First grant: the interval since submit is this
-                # transfer's queue-wait, recorded as a retroactive
-                # child span plus a histogram observation.
-                transfer.dispatched_at = time.perf_counter()
-                transfer.dispatched_wall = time.time()
-                waited = transfer.dispatched_wall - transfer.submitted_wall
-                if self.obs is not None:
-                    self._m_queue_wait.observe(max(waited, 0.0),
-                                               protocol=job.protocol)
-                if transfer.span is not None:
-                    transfer.span.child_at(
-                        "queue", transfer.submitted_wall, max(waited, 0.0),
-                        protocol=job.protocol)
-            executor = (
-                self._events_pool if transfer.model == EVENTS else self._threads_pool
-            )
-            executor.submit(self._run_quantum, transfer, grant)
+                    wait = self._idle_until - now
+                if deadline is not None:
+                    remaining = deadline - now
+                    if remaining <= 0:
+                        job.ready = False
+                        raise TransferError("transfer timed out")
+                    wait = remaining if wait is None else min(wait, remaining)
+                turn.wait(wait)
+            # Solo transfers get burst-sized grants: nothing else is
+            # ready or in flight, so a big quantum costs no fairness
+            # and saves hundreds of arbitration passes.  Any contention
+            # at all keeps the configured quantum.
+            if self._in_flight == 1 and not self.scheduler.has_ready():
+                return self.config.burst_bytes
+            return self.config.quantum_bytes
 
-    def _dispatchable_locked(self) -> bool:
-        return (
-            self._in_flight < self.config.transfer_workers
-            and any(t.job.ready for t in self._pending.values())
-        )
+    def _grant_locked(self) -> None:
+        """Hand each free pump slot to the job the scheduler selects and
+        wake its owner.  Every change to the ready set or the slot count
+        calls this, so no slot sits free while a job is ready."""
+        while self._running and self._in_flight < self.config.transfer_workers:
+            pick = self.scheduler.select()
+            if pick is None:
+                pick = self._best_ready_locked()
+                if pick is None:
+                    self._idle_until = None
+                    return
+                # Non-work-conserving idling: give the rightful job
+                # 2 ms, then grant the best ready one anyway.  Its owner
+                # is woken to time the idle.
+                now = time.monotonic()
+                if self._idle_until is None:
+                    self._idle_until = now + 0.002
+                if now < self._idle_until:
+                    self._turns[pick.job_id].notify()
+                    return
+            self._idle_until = None
+            pick.ready = False
+            self._in_flight += 1
+            self._turns[pick.job_id].notify()
 
     def _best_ready_locked(self) -> TransferJob | None:
         ready = [t.job for t in self._pending.values() if t.job.ready]
@@ -484,56 +502,19 @@ class TransferManager:
             return None
         return min(ready, key=lambda j: (j.pass_value, j.enqueue_seq))
 
-    def _run_quantum(self, transfer: Transfer,
-                     nbytes: int | None = None) -> None:
-        job = transfer.job
-        moved = 0
-        error: BaseException | None = None
-        try:
-            moved = transfer.pump_chunk(nbytes or self.config.quantum_bytes)
-        except BaseException as exc:  # noqa: BLE001 - reported to waiter
-            error = exc
-        finished = error is not None or (
-            transfer.done if moved else True  # EOF counts as done
-        )
-        obs = self.obs
-        if obs is not None and moved:
-            self._m_bytes.inc(moved, protocol=job.protocol)
-            obs.health.record_bytes(moved)
-        with self._lock:
-            self._in_flight -= 1
-            self.scheduler.charge(job, moved)
-            if not finished and not self._running:
-                # The manager shut down while this quantum was out:
-                # re-enqueueing would strand the transfer (no
-                # dispatcher will ever grant it again), so fail it
-                # typed -- same contract as shutdown()'s queued sweep.
-                error = TransferError("manager shut down")
-                finished = True
-            if finished:
-                self.scheduler.remove(job)
-                self._pending.pop(job.job_id, None)
-                if error is not None:
-                    self._failures.append({
-                        "protocol": job.protocol,
-                        "user": job.user,
-                        "path": job.path,
-                        "moved": transfer.moved,
-                        "total": transfer.total,
-                        "error": error,
-                        "at": time.time(),
-                    })
-            else:
-                self._enqueue_seq += 1
-                job.enqueue_seq = self._enqueue_seq
-                job.ready = True
-            self._wakeup.notify()
-        if finished:
-            self.selector.report(
-                transfer.model, max(transfer.moved, 1), max(transfer.elapsed, 1e-6)
-            )
-            self._observe_finish(transfer, error)
-            transfer._finish(error)
+    def _observe_first_grant(self, transfer: Transfer) -> None:
+        """Record the interval since submit as this transfer's
+        queue-wait: a retroactive child span plus a histogram
+        observation."""
+        transfer.dispatched_at = time.perf_counter()
+        transfer.dispatched_wall = time.time()
+        waited = max(transfer.dispatched_wall - transfer.submitted_wall, 0.0)
+        protocol = transfer.job.protocol
+        if self.obs is not None:
+            self._m_queue_wait.observe(waited, protocol=protocol)
+        if transfer.span is not None:
+            transfer.span.child_at("queue", transfer.submitted_wall, waited,
+                                   protocol=protocol)
 
     def _observe_finish(self, transfer: Transfer,
                         error: BaseException | None) -> None:
@@ -554,8 +535,7 @@ class TransferManager:
                       if reference is not None else 0.0)
             child = transfer.span.child_at(
                 "transfer", start, max(pumped, 0.0),
-                protocol=transfer.job.protocol, bytes=transfer.moved,
-                model=transfer.model)
+                protocol=transfer.job.protocol, bytes=transfer.moved)
             if error is not None:
                 child.status = "error"
                 child.set(error=type(error).__name__)

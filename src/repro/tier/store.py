@@ -83,6 +83,11 @@ class _ThrottledStream:
         self._pay(len(data))
         return data
 
+    def readinto(self, buf) -> int:
+        n = self._raw.readinto(buf)
+        self._pay(n or 0)
+        return n
+
     def write(self, data) -> int:
         self._pay(len(data))
         return self._raw.write(data)

@@ -185,6 +185,9 @@ class _ExplodingSource:
     def read(self, n: int) -> bytes:
         raise OSError("disk gone")
 
+    def readinto(self, buf) -> int:
+        raise OSError("disk gone")
+
 
 class TestTransferFailureSurfacing:
     @pytest.fixture

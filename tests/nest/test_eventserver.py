@@ -259,7 +259,9 @@ class TestAdaptiveServerFlip:
                 assert srv._switcher.flips >= 1
                 # Post-flip accepts really landed on the event loop.
                 assert _wait_until(lambda: srv._eventloop.live() > 0)
-                assert srv.active_connections() == 16
+                # All 16 must be live; the last few may still sit in
+                # the listen backlog until the accept loop drains it.
+                assert _wait_until(lambda: srv.active_connections() == 16)
             finally:
                 for sock in socks:
                     sock.close()

@@ -11,7 +11,7 @@ import pytest
 from repro.faults.plan import FaultPlan
 from repro.nest import io as fastio
 from repro.nest.config import NestConfig
-from repro.nest.transfer import (LEGACY, POOLED, SENDFILE, TransferManager)
+from repro.nest.transfer import POOLED, SENDFILE, TransferManager
 
 PAYLOAD = (bytes(range(256)) * 4099)[: 1_000_003]  # ~1 MB, odd size
 PAYLOAD_CRC = zlib.crc32(PAYLOAD) & 0xFFFFFFFF
@@ -252,7 +252,7 @@ class TestStrategyParity:
         assert plan.fired("short") == 1
         assert len(received[0]) < len(PAYLOAD)
 
-    def test_legacy_source_strategy_for_plain_readers(self, manager):
+    def test_read_only_source_rejected_at_admission(self, manager):
         class ReadOnly:
             def __init__(self, data):
                 self._bio = io.BytesIO(data)
@@ -260,13 +260,11 @@ class TestStrategyParity:
             def read(self, n=-1):
                 return self._bio.read(n)
 
-        sink = io.BytesIO()
-        transfer = manager.submit(ReadOnly(PAYLOAD), sink,
-                                  len(PAYLOAD), protocol="chirp")
-        assert transfer.strategy == LEGACY
-        assert transfer.wait(30) == len(PAYLOAD)
-        assert sink.getvalue() == PAYLOAD
-        assert transfer.crc == PAYLOAD_CRC
+        with pytest.raises(TypeError, match="readinto"):
+            manager.submit(ReadOnly(PAYLOAD), io.BytesIO(),
+                           len(PAYLOAD), protocol="chirp")
+        # Rejected before queueing: nothing is left waiting for a grant.
+        assert manager.queue_depth() == 0
 
 
 class TestMetrics:
