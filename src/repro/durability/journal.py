@@ -6,21 +6,22 @@ line::
     <crc32 of payload, 8 hex chars> <payload JSON>\\n
 
 where the payload carries a monotonically increasing ``seq``, a
-``type`` tag, and the event's fields.  Appends are fsync'd by default
-(``fsync=False`` trades durability of the last few records for speed
--- used by the crash-sweep tests, whose "disk" is the same process).
+``type`` tag, and the event's fields.
 
-Durable appends use **group commit**: concurrent appenders enqueue
-framed records; whoever reaches the flush lock first becomes the
-flusher and writes every queued record with a *single* write+fsync,
-and each caller returns only once its record's batch is durable.
-Under concurrency the fsync count collapses from one-per-record to
-one-per-batch while every acknowledged record is on disk -- the
-classic WAL group commit.  The grouped path engages only for the
-plain durable configuration (``fsync=True``, no fault plan,
-``batch_records > 1``); fault injection and ``fsync=False`` keep the
-original record-at-a-time path so every injected torn/short/crash
-fault lands exactly where the crash sweep expects it.
+There is one append path, **group commit**: appenders enqueue framed
+records (:meth:`MetadataJournal.append_async`); whoever reaches the
+flush lock first becomes the flusher and writes up to
+``batch_records`` queued records with a *single* write+fsync, and each
+caller returns only once its record's batch is durable
+(:meth:`MetadataJournal.wait_durable`).  Under concurrency the fsync
+count collapses from one-per-record to one-per-batch while every
+acknowledged record is on disk -- the classic WAL group commit.
+``fsync=False`` runs the same path without the fsync;
+``batch_records=1`` flushes one record per write on the same path.
+
+Injected disk faults land inside the flush, at the record whose seq
+they name, so the crash and torn-write sweeps run the path the
+appliance runs -- mid-batch included.
 
 The framing makes every corruption mode the disk-fault layer can
 inject *detectable*: a torn tail (no trailing newline), a short write
@@ -44,7 +45,7 @@ import zlib
 from dataclasses import dataclass
 from typing import Any, Optional
 
-from repro.faults.disk import CRASH, SHORT, TORN, SimulatedCrash
+from repro.faults.disk import CRASH, EIO, SHORT, TORN, SimulatedCrash
 
 __all__ = ["JournalError", "ReplayResult", "MetadataJournal"]
 
@@ -63,7 +64,7 @@ class ReplayResult:
 
 
 class MetadataJournal:
-    """Append-fsync-replay over one journal file."""
+    """Group-commit append, fsync and replay over one journal file."""
 
     def __init__(self, path: str, *, fsync: bool = True, faults=None,
                  registry=None, batch_records: int = 64,
@@ -76,16 +77,14 @@ class MetadataJournal:
         #: sequence number of the last record acknowledged (durable or
         #: folded into a snapshot); the next append gets ``last_seq+1``.
         self.last_seq = 0
-        #: group commit: grouped appends engage only for the plain
-        #: durable configuration -- fault injection and fsync=False
-        #: need the record-at-a-time path's exact fault placement.
-        self._grouped = fsync and faults is None and batch_records > 1
+        self._tail_seq = 0  #: highest seq handed out (>= last_seq)
         self._batch_max = max(1, int(batch_records))
         self._batch_delay = float(batch_delay)
         self._flush_lock = threading.RLock()
-        self._tail_seq = 0  #: highest seq handed out (>= last_seq)
         self._pending: list[tuple[int, bytes]] = []
         self._batch_errors: dict[int, JournalError] = {}
+        #: set when an injected crash fires: the "process" is dead.
+        self._crashed = False
         #: plain hot-path counters (the bench reads these directly).
         self.fsync_count = 0
         self.records_appended = 0
@@ -117,54 +116,22 @@ class MetadataJournal:
     # ------------------------------------------------------------------
     # appending
     # ------------------------------------------------------------------
+    @property
+    def tail_seq(self) -> int:
+        """The highest seq handed out so far, durable or still queued."""
+        return max(self._tail_seq, self.last_seq)
+
     def append(self, rtype: str, fields: dict[str, Any]) -> int:
         """Durably append one record; returns its sequence number.
 
-        On the grouped path the caller blocks until the batch holding
-        its record is flushed; on the record-at-a-time path the append
-        is written and fsync'd inline, exactly as before group commit.
+        Exactly :meth:`append_async` followed by :meth:`wait_durable`:
+        the caller blocks until the batch holding its record is on
+        disk, possibly flushing it itself.
         """
-        if self._grouped:
-            seq = self.append_async(rtype, fields)
-            self.wait_durable(seq)
-            return seq
-        with self._lock:
-            seq = self.last_seq + 1
-            rec = {"seq": seq, "type": rtype, **fields}
-            data = json.dumps(rec, sort_keys=True,
-                              separators=(",", ":")).encode()
-            line = b"%08x " % (zlib.crc32(data) & 0xFFFFFFFF,) + data + b"\n"
-            try:
-                self._open()
-                rule = (self._faults.check("append", at=seq)
-                        if self._faults is not None else None)
-                if rule is not None:
-                    self._faulty_write(rule, line)
-                else:
-                    self._file.write(line)
-                    self._do_fsync()
-            except OSError as exc:
-                if self._m_errors is not None:
-                    self._m_errors.inc()
-                if isinstance(exc, JournalError):
-                    raise
-                raise JournalError(
-                    exc.errno if exc.errno is not None else _errno.EIO,
-                    f"journal append failed: {exc}") from exc
-            except ValueError as exc:  # write on a closed file
-                if self._m_errors is not None:
-                    self._m_errors.inc()
-                raise JournalError(_errno.EIO,
-                                   f"journal closed: {exc}") from exc
-            self.last_seq = seq
-            self.records_appended += 1
-            if self._m_records is not None:
-                self._m_records.inc()
-            if self._h_batch is not None:
-                self._h_batch.observe(1.0)
-            return seq
+        seq = self.append_async(rtype, fields)
+        self.wait_durable(seq)
+        return seq
 
-    # -- group commit ------------------------------------------------------
     def append_async(self, rtype: str, fields: dict[str, Any]) -> int:
         """Assign a seq and enqueue the framed record *without* waiting
         for the disk.
@@ -175,14 +142,11 @@ class MetadataJournal:
         only after releasing it, so concurrent mutators overlap in the
         queue and share one flush.  The record is not durable until
         ``wait_durable(seq)`` returns; acknowledging before that is a
-        durability lie.  On the record-at-a-time path (fault injection,
-        ``fsync=False``, ``batch_records <= 1``) this degrades to a
-        full synchronous :meth:`append` and ``wait_durable`` is a
-        no-op.
+        durability lie.
         """
-        if not self._grouped:
-            return self.append(rtype, fields)
         with self._lock:
+            if self._crashed:
+                raise SimulatedCrash("journal died at a crash point")
             self._tail_seq = max(self._tail_seq, self.last_seq) + 1
             seq = self._tail_seq
             rec = {"seq": seq, "type": rtype, **fields}
@@ -195,19 +159,19 @@ class MetadataJournal:
     def wait_durable(self, seq: int) -> None:
         """Drive/await the flush that makes record ``seq`` durable.
 
-        Whoever acquires the flush lock becomes the flusher for every
-        record queued at that moment.  Followers that arrive while a
-        flush is in progress block on the lock; by the time they get
-        it their record is usually already durable (``last_seq`` has
-        passed their seq) and they return without touching the disk.
-        Batching therefore emerges from fsync backpressure -- no
-        background thread, no timers, no idle latency.
+        Whoever acquires the flush lock flushes up to ``batch_records``
+        queued records; followers blocked on the lock usually find
+        their record already durable and return without touching the
+        disk.  Batching emerges from fsync backpressure -- no
+        background thread, no timers, no idle latency.  A failed batch
+        raises its :class:`JournalError` in every waiter; after an
+        injected crash every waiter raises :class:`SimulatedCrash`.
         """
-        if not self._grouped:
-            return
         while True:
             with self._flush_lock:
                 with self._lock:
+                    if self._crashed:
+                        raise SimulatedCrash("journal died at a crash point")
                     error = self._batch_errors.pop(seq, None)
                     if error is None and self.last_seq >= seq:
                         return
@@ -229,25 +193,30 @@ class MetadataJournal:
                     self._flush_batch(batch)
 
     def _flush_batch(self, batch: list[tuple[int, bytes]]) -> None:
-        """One write+fsync covering every record in ``batch``; on
+        """One write (+ fsync) covering every record in ``batch``; on
         failure the whole batch is marked failed so each waiter gets a
         typed :class:`JournalError` instead of a false ack."""
         payload = b"".join(line for _, line in batch)
+        crash = error = None
+        if self._faults is not None:
+            payload, crash, error = self._faulted_payload(batch)
         try:
-            self._open()
-            self._file.write(payload)
-            self._do_fsync()
-        except (OSError, ValueError) as exc:
-            if isinstance(exc, JournalError):
-                error = exc
-            elif isinstance(exc, ValueError):  # write on a closed file
-                error = JournalError(_errno.EIO, f"journal closed: {exc}")
-                error.__cause__ = exc
-            else:
-                error = JournalError(
-                    exc.errno if exc.errno is not None else _errno.EIO,
-                    f"journal append failed: {exc}")
-                error.__cause__ = exc
+            if payload:
+                self._open()
+                self._file.write(payload)
+                self._do_fsync()
+        except ValueError as exc:  # write on a closed file
+            error = JournalError(_errno.EIO, f"journal closed: {exc}")
+        except OSError as exc:
+            error = JournalError(exc.errno or _errno.EIO,
+                                 f"journal append failed: {exc}")
+        if crash is not None:
+            # A SIGKILL: nothing queued ever lands, nobody is acked.
+            with self._lock:
+                self._crashed = True
+                self._pending = []
+            raise crash
+        if error is not None:
             with self._lock:
                 for seq, _ in batch:
                     self._batch_errors[seq] = error
@@ -260,22 +229,30 @@ class MetadataJournal:
         if self._h_batch is not None:
             self._h_batch.observe(float(len(batch)))
 
-    def _faulty_write(self, rule, line: bytes) -> None:
-        """Enact an injected append fault (torn/short land a fragment)."""
-        if rule.action in (TORN, SHORT):
-            keep = rule.keep_bytes
-            if keep is None:
-                keep = max(1, len(line) // 2)
-            self._file.write(line[:keep])
-            self._do_fsync()
-            if rule.action == TORN:
-                raise SimulatedCrash("torn journal append")
-            return  # SHORT: partial record on disk, caller sees success
-        if rule.action == CRASH:
-            raise SimulatedCrash("crash point before journal append")
-        if rule.action in ("eio", "enospc"):
-            code = _errno.EIO if rule.action == "eio" else _errno.ENOSPC
-            raise JournalError(code, f"injected {rule.action} on journal append")
+    def _faulted_payload(self, batch: list[tuple[int, bytes]]):
+        """Apply the plan's ``append`` rules by seq; returns
+        ``(payload, crash, error)``.  CRASH at k: records before k land,
+        then death.  TORN: those plus a fragment of k, then death.
+        SHORT: a fragment of k, then the rest; success is reported.
+        EIO/ENOSPC: nothing lands, every waiter gets the errno."""
+        lines: list[bytes] = []
+        for seq, line in batch:
+            rule = self._faults.check("append", at=seq)
+            if rule is None:
+                lines.append(line)
+            elif rule.action in (TORN, SHORT):
+                keep = rule.keep_bytes
+                lines.append(line[:max(1, len(line) // 2)
+                                  if keep is None else keep])
+                if rule.action == TORN:
+                    return b"".join(lines), SimulatedCrash("torn append"), None
+            elif rule.action == CRASH:
+                return b"".join(lines), SimulatedCrash("crash point"), None
+            else:
+                code = _errno.EIO if rule.action == EIO else _errno.ENOSPC
+                return b"", None, JournalError(
+                    code, f"injected {rule.action} on journal append")
+        return b"".join(lines), None, None
 
     def _open(self) -> None:
         if self._file is None or self._file.closed:
@@ -382,12 +359,13 @@ class MetadataJournal:
             return 0
 
     def close(self) -> None:
+        """Flush stragglers, then release the file.  A dead journal
+        writes nothing: a SIGKILL persists no stragglers."""
         with self._flush_lock:
-            # Flush stragglers enqueued by async appenders that never
-            # reached wait_durable (e.g. an op that failed mid-flight);
+            # Stragglers from ops that failed before wait_durable;
             # _flush_batch parks any error per-seq rather than raising.
             with self._lock:
-                batch = self._pending
+                batch = [] if self._crashed else self._pending
                 self._pending = []
             if batch:
                 self._flush_batch(batch)

@@ -103,24 +103,27 @@ class DurabilityManager:
         return self.journal.append_async(rtype, fields)
 
     def wait_durable(self, seq: int) -> None:
-        """Block until record ``seq`` is on disk; compacts periodically
-        (the snapshot trigger lives here, off the storage lock)."""
+        """Block until record ``seq`` is on disk; compacts periodically,
+        but never while this thread is mid-op (a flush forced inside an
+        op must not snapshot it half-applied)."""
         self.journal.wait_durable(seq)
-        take = False
+        storage = self.storage
         with self._lock:
             self._since_snapshot += 1
-            if self.snapshot_every and self._since_snapshot >= self.snapshot_every:
+            take = (self.snapshot_every
+                    and self._since_snapshot >= self.snapshot_every
+                    and not (storage is not None and storage.in_op()))
+            if take:
                 self._since_snapshot = 0
-                take = True
         if take:
             self.snapshot()
 
     def snapshot(self) -> bool:
         """Fold the journal into a compacted snapshot.
 
-        Serialization happens under the storage lock, so the captured
-        ``seq`` exactly covers every storage record in the state.
-        (Replica records emitted concurrently are idempotent on
+        Serialization happens under the storage lock with the journal's
+        highest *assigned* seq, so the seq exactly covers every storage
+        record in the state, queued or durable.  (Replica records emitted concurrently are idempotent on
         replay, so the catalog needs no such fence.)  The journal is
         truncated only when nothing newer was appended meanwhile --
         otherwise compaction simply waits for the next snapshot.
@@ -129,7 +132,7 @@ class DurabilityManager:
         if storage is None:
             return False
         with storage._lock:
-            seq = self.journal.last_seq
+            seq = self.journal.tail_seq
             state: dict[str, Any] = {"storage": storage.serialize_state()}
         if self.catalog is not None:
             state["catalog"] = self.catalog.serialize()
@@ -223,8 +226,7 @@ class DurabilityManager:
         self.storage = storage
         self.catalog = catalog
         self.tier = tier
-        storage.set_journal(self.record, async_sink=self.record_async,
-                            wait_sink=self.wait_durable)
+        storage.set_journal(self.record_async, self.wait_durable)
         if catalog is not None:
             catalog.journal = self.record
             catalog.advertise()

@@ -164,16 +164,17 @@ class NestConfig:
     #: exactly as before durability existed.
     state_dir: str | None = None
 
-    #: fsync the journal on every append (the durable default); False
-    #: trades the tail of history for speed, for tests and benches.
+    #: fsync every group-commit flush (the durable default); False runs
+    #: the same flush path without the fsync, trading the tail of
+    #: history for speed, for tests and benches.
     journal_fsync: bool = True
 
     #: Fold the journal into a compacted snapshot every N records.
     snapshot_every: int = 512
 
     #: Group commit: how many journal records one flusher may batch
-    #: into a single write+fsync.  1 disables batching (one fsync per
-    #: record, the pre-group-commit behaviour).
+    #: into a single write+fsync.  1 flushes one record per fsync on
+    #: the same path.
     journal_batch_records: int = 64
 
     #: Group commit: how long (seconds) the flusher may dally waiting

@@ -155,13 +155,12 @@ class StorageManager:
         #: the same demand signal.
         self.heat = heat
         self._lock = threading.RLock()
-        #: metadata-journal sink (set via :meth:`set_journal`); None
+        #: metadata-journal sinks (set via :meth:`set_journal`); None
         #: means the appliance runs memory-only, exactly as before.
-        self._journal: Callable[..., Any] | None = None
-        self._journal_async: Callable[..., int] | None = None
+        self._journal_append: Callable[..., int] | None = None
         self._journal_wait: Callable[[int], None] | None = None
         #: per-thread list of journal seqs enqueued by the op in
-        #: flight; non-None only between _op entry and exit.
+        #: flight; non-None only inside a :meth:`_durable` scope.
         self._local = threading.local()
         self._m_ops = None
         self._m_denied = None
@@ -179,30 +178,29 @@ class StorageManager:
     # ------------------------------------------------------------------
     # durability wiring (see repro.durability)
     # ------------------------------------------------------------------
-    def set_journal(self, sink: Callable[..., Any] | None, *,
-                    async_sink: Callable[..., int] | None = None,
-                    wait_sink: Callable[[int], None] | None = None) -> None:
-        """Bind the metadata-journal sink; lot mutations are routed
-        through :meth:`_emit` too so a journal failure surfaces as one
-        typed :class:`StorageError` everywhere.
+    def set_journal(self, append: Callable[..., int] | None,
+                    wait: Callable[[int], None] | None) -> None:
+        """Bind the metadata journal: ``append(rtype, **fields)``
+        enqueues one record and returns its seq, ``wait(seq)`` blocks
+        until it is durable.  Lot mutations are routed through
+        :meth:`_emit` too so a journal failure surfaces as one typed
+        :class:`StorageError` everywhere.
 
-        When the split form is bound (``async_sink`` + ``wait_sink``),
-        ops *enqueue* records while holding the storage lock and block
-        for durability only in :meth:`_op`'s exit, after the lock is
-        released -- otherwise the lock serializes every append and
+        Ops *enqueue* records while holding the storage lock and block
+        for durability only in :meth:`_durable`'s exit, after the lock
+        is released -- otherwise the lock serializes every append and
         group commit can never batch.
         """
-        self._journal = sink
-        self._journal_async = async_sink if sink is not None else None
-        self._journal_wait = wait_sink if sink is not None else None
-        self.lots.journal = self._emit if sink is not None else None
+        self._journal_append = append
+        self._journal_wait = wait
+        self.lots.journal = self._emit if append is not None else None
 
     def _emit(self, rtype: str, **fields) -> None:
         """Record one durable mutation in the bound journal.
 
-        Inside an :meth:`_op` scope with the split sink bound, this
-        only *enqueues* (the op's exit waits for durability after the
-        storage lock is gone); elsewhere it appends synchronously.
+        Inside a :meth:`_durable` scope this only *enqueues* (the
+        scope's exit waits for durability after the storage lock is
+        gone); elsewhere it waits for the record at once.
 
         A failed append (disk gone, out of space) must not kill the
         connection: it degrades into a typed response -- ``ENOSPC``
@@ -210,31 +208,56 @@ class StorageManager:
         server error.  The in-memory mutation has already happened;
         the journal's error counter records the divergence.
         """
-        if self._journal is None:
+        if self._journal_append is None:
             return
         waits = getattr(self._local, "waits", None)
         try:
-            if self._journal_async is not None and waits is not None:
-                waits.append(self._journal_async(rtype, **fields))
+            seq = self._journal_append(rtype, **fields)
+            if waits is None:
+                self._journal_wait(seq)
             else:
-                self._journal(rtype, **fields)
+                waits.append(seq)
         except OSError as exc:
             raise self._journal_failure(exc) from exc
 
-    def _await_durable(self) -> None:
-        """Block until every record the finishing op enqueued is on
-        disk.  Runs in :meth:`_op`'s exit -- i.e. after ``self._lock``
-        is released -- so concurrent mutators pile onto one
-        group-commit flush instead of fsyncing one by one."""
-        waits = getattr(self._local, "waits", None)
-        if not waits or self._journal_wait is None:
+    def _flush(self) -> None:
+        """Make every record the current op has enqueued durable now,
+        still under the lock: the caller's next step changes the
+        backend (bytes moved or deleted) and must not outrun them."""
+        self._await_durable(getattr(self._local, "waits", None))
+
+    def _await_durable(self, waits: list[int] | None) -> None:
+        """Block until every seq in ``waits`` is on disk, emptying it."""
+        if not waits:
             return
-        seqs, self._local.waits = list(waits), []
+        seqs = waits[:]
+        waits.clear()
         for seq in seqs:
             try:
                 self._journal_wait(seq)
             except OSError as exc:
                 raise self._journal_failure(exc) from exc
+
+    def in_op(self) -> bool:
+        """True inside this thread's :meth:`_durable` scope, where a
+        snapshot could fold in a half-applied op."""
+        return getattr(self._local, "waits", None) is not None
+
+    @contextmanager
+    def _durable(self):
+        """Journal scope for one op: records enqueued inside become
+        durable at the outermost exit.  Stacked *outside* the lock
+        (``with self._durable(), self._lock:``), so concurrent mutators
+        pile onto one group-commit flush after releasing it."""
+        if self.in_op():
+            yield
+            return
+        self._local.waits = waits = []
+        try:
+            yield
+        finally:
+            self._local.waits = None
+        self._await_durable(waits)
 
     @staticmethod
     def _journal_failure(exc: OSError) -> StorageError:
@@ -271,21 +294,13 @@ class StorageManager:
     @contextmanager
     def _op(self, op: str, path: str = ""):
         """One storage operation: a ``storage`` child span under
-        whatever request is being traced, plus op/outcome counts.
-
-        Callers stack it *outside* the lock (``with self._op(..),
-        self._lock:``), so the post-body durability wait below runs
-        after the lock is released -- the other half of the journal's
-        group-commit split."""
-        span = _spans.maybe_span("storage", op=op, path=path)
-        outermost = getattr(self._local, "waits", None) is None
-        if outermost:
-            self._local.waits = []
+        whatever request is being traced, op/outcome counts, and a
+        :meth:`_durable` journal scope (stacked outside the lock, like
+        it)."""
         try:
-            with span:
+            with _spans.maybe_span("storage", op=op, path=path), \
+                    self._durable():
                 yield
-                if outermost:
-                    self._await_durable()
         except StorageError as exc:
             if self._m_ops is not None:
                 self._m_ops.inc(op=op, outcome=exc.status.value)
@@ -293,9 +308,6 @@ class StorageManager:
         else:
             if self._m_ops is not None:
                 self._m_ops.inc(op=op, outcome="ok")
-        finally:
-            if outermost:
-                self._local.waits = None
 
     # ------------------------------------------------------------------
     # namespace internals
@@ -352,6 +364,7 @@ class StorageManager:
         except StorageError:
             pass
         self._emit("file_reclaim", path=path)
+        self._flush()
         self.store.delete(path)
         self.invalidate(path)
 
@@ -413,7 +426,7 @@ class StorageManager:
 
     def delete(self, user: str, path: str) -> None:
         """Remove a file; requires delete on the parent."""
-        with self._lock:
+        with self._durable(), self._lock:
             parent, name = self._parent_and_name(path)
             self._check(parent.acl, user, "d")
             node = parent.children.get(name)
@@ -428,12 +441,13 @@ class StorageManager:
             self.used_bytes -= node.size
             self.lots.release(path)
             del parent.children[name]
+            self._flush()
             self.store.delete(path)
             self.invalidate(path)
 
     def rename(self, user: str, path: str, new_path: str) -> None:
         """Rename within the namespace; requires modify on both parents."""
-        with self._lock:
+        with self._durable(), self._lock:
             parent, name = self._parent_and_name(path)
             self._check(parent.acl, user, "m")
             node = parent.children.get(name)
@@ -452,6 +466,7 @@ class StorageManager:
             # holds the data (see StorageReplayer._redo_move).
             self._emit("rename", path=path, new_path=new_path)
             if isinstance(node, FileNode):
+                self._flush()
                 # Move the backing bytes through one pooled buffer.
                 from repro.nest.io import copy_stream
 
@@ -536,6 +551,8 @@ class StorageManager:
 
         Charges lots/space up front so the guarantee holds before any
         data moves; over-declaration is settled back on completion.
+        The writer opens only once ``put_begin`` is durable: one
+        abandoned by a failed wait would be finalised over old bytes.
         """
         with self._op("approve_put", path), self._lock:
             parent, name = self._parent_and_name(path)
@@ -557,17 +574,17 @@ class StorageManager:
             self.used_bytes += declared - old_size
             self._emit("put_begin", user=user, path=path, size=declared,
                        old_size=old_size, existed=existing is not None)
-            manager = self
+        manager = self
 
-            class _PutTicket(TransferTicket):
-                def settle(inner, actual_bytes: int) -> None:
-                    inner.stream.close()
-                    manager._settle_put(inner, declared, actual_bytes)
+        class _PutTicket(TransferTicket):
+            def settle(inner, actual_bytes: int) -> None:
+                inner.stream.close()
+                manager._settle_put(inner, declared, actual_bytes)
 
-            return _PutTicket(
-                path=path, user=user, size=declared,
-                stream=self.store.open_write(path), is_write=True,
-            )
+        return _PutTicket(
+            path=path, user=user, size=declared,
+            stream=self.store.open_write(path), is_write=True,
+        )
 
     def approve_write(self, user: str, path: str, offset: int, length: int) -> TransferTicket:
         """Authorize a block write (NFS); creates the file if needed."""

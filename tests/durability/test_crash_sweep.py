@@ -5,6 +5,11 @@ Two faults per boundary -- a clean crash just before the record lands,
 and a torn write that leaves half the record on disk -- so a workload
 of N records yields 2N crash points (the workload below emits 25+,
 for the required 50+ points).
+
+Mutations go through ``storage.execute`` (plus the approve/settle pair
+for puts), as the live protocol handlers drive them, onto the journal's
+one group-commit path: an op's records flush as one batch, so some
+faults land in the middle of a batch.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ from repro.durability import DurabilityManager
 from repro.faults.disk import DiskFaultPlan, SimulatedCrash
 from repro.nest.backends import MemoryStore
 from repro.nest.storage import DirNode, FileNode, StorageManager
+from repro.protocols.common import Request, RequestType, Status
 
 CAPACITY = 1 << 20
 
@@ -23,23 +29,34 @@ def put(storage, user, path, data: bytes) -> None:
     ticket.settle(len(data))
 
 
+def ex(s: StorageManager, rtype: RequestType, user: str, path: str = "",
+       **params):
+    resp = s.execute(Request(rtype=rtype, user=user, path=path,
+                             params=params))
+    assert resp.status is Status.OK, resp.message
+    return resp.data
+
+
 def run_workload(s: StorageManager) -> None:
     """A fixed script touching every journaled mutation type."""
-    s.lots.create_lot("alice", 1 << 16, 3600.0)
-    s.lots.create_lot("bob", 1 << 16, 3600.0)
-    lot3 = s.lots.create_lot("carol", 1 << 16, 3600.0)
-    s.add_group("team", {"alice", "bob"})
-    s.mkdir("admin", "/a")
-    s.acl_set("admin", "/a", "group:team", "rwmidl")
-    s.mkdir("admin", "/b")
-    s.acl_set("admin", "/b", "carol", "rwmidl")
+    lot = dict(capacity=1 << 16, duration=3600.0)
+    ex(s, RequestType.LOT_CREATE, "alice", **lot)
+    ex(s, RequestType.LOT_CREATE, "bob", **lot)
+    lot3 = ex(s, RequestType.LOT_CREATE, "carol", **lot)["lot_id"]
+    s.add_group("team", {"alice", "bob"})  # no wire request for groups
+    ex(s, RequestType.MKDIR, "admin", "/a")
+    ex(s, RequestType.ACL_SET, "admin", "/a", subject="group:team",
+       rights="rwmidl")
+    ex(s, RequestType.MKDIR, "admin", "/b")
+    ex(s, RequestType.ACL_SET, "admin", "/b", subject="carol",
+       rights="rwmidl")
     put(s, "alice", "/a/one", b"1" * 100)
     put(s, "bob", "/a/two", b"2" * 200)
     put(s, "carol", "/b/three", b"3" * 300)
-    s.rename("alice", "/a/one", "/a/uno")
-    s.delete("bob", "/a/two")
-    s.lots.renew(lot3.lot_id, 7200.0)
-    s.lots.attach(lot3.lot_id, "/b")
+    ex(s, RequestType.RENAME, "alice", "/a/one", new_path="/a/uno")
+    ex(s, RequestType.DELETE, "bob", "/a/two")
+    ex(s, RequestType.LOT_RENEW, "carol", lot_id=lot3, duration=7200.0)
+    ex(s, RequestType.LOT_ATTACH, "carol", "/b", lot_id=lot3)
     put(s, "carol", "/b/four", b"4" * 50)
     put(s, "alice", "/a/five", b"5" * 150)
 
@@ -52,13 +69,15 @@ def boot(state_dir, store, faults=None):
     return storage, manager, report
 
 
-def crash_workload(state_dir, store, plan) -> bool:
-    """Run the workload under ``plan``; True when the crash fired."""
+def crash_workload(state_dir, store, plan) -> tuple[bool, bool]:
+    """Run the workload under ``plan``; returns (the crash fired, it
+    hit a non-first record of its batch)."""
     storage, manager, _ = boot(state_dir, store, faults=plan)
     try:
         run_workload(storage)
     except SimulatedCrash:
-        return True
+        # The crashed batch began right after the last durable record.
+        return True, plan.events[-1].at > manager.journal.last_seq + 1
     finally:
         # A SIGKILL persists nothing further: close the journal file
         # descriptor only, never a shutdown snapshot.
@@ -66,7 +85,7 @@ def crash_workload(state_dir, store, plan) -> bool:
             manager.journal.close()
         except OSError:
             pass
-    return False
+    return False, False
 
 
 def tree_sizes(storage) -> dict[str, int]:
@@ -98,6 +117,10 @@ def check_invariants(storage) -> None:
     for path, total in totals.items():
         assert path in sizes, f"charge for missing file {path}"
         assert total <= sizes[path], f"overcharge on {path}"
+    # 3. Every file reads back its recorded size from the store.
+    for path, size in sizes.items():
+        with storage.store.open_read(path) as r:
+            assert len(r.read()) == size, f"{path} lists {size} B"
 
 
 def workload_record_count(tmp_path) -> int:
@@ -113,11 +136,13 @@ def sweep(tmp_path, make_plan) -> int:
     """Crash at every record boundary; returns the number of points."""
     total = workload_record_count(tmp_path)
     assert total >= 25, f"workload too small for the sweep: {total}"
+    mid_batch = 0
     for k in range(1, total + 1):
         state_dir = tmp_path / f"state{k}"
         store = MemoryStore()
-        crashed = crash_workload(state_dir, store, make_plan(k))
+        crashed, inside = crash_workload(state_dir, store, make_plan(k))
         assert crashed, f"fault at record {k} never fired"
+        mid_batch += inside
 
         s2, m2, report = boot(state_dir, store)
         check_invariants(s2)
@@ -135,6 +160,7 @@ def sweep(tmp_path, make_plan) -> int:
             check_invariants(s3)
         m2.close(snapshot=False)
         m3.close()
+    assert mid_batch >= 1, "no fault landed inside a multi-record batch"
     return total
 
 
